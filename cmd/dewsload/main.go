@@ -181,6 +181,7 @@ func spawnServer(o *options) (*child, error) {
 	)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
+	dieWithParent(cmd)
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("spawning server: %w", err)
 	}

@@ -254,6 +254,16 @@ type Broker struct {
 	// before fan-out (write-through) and assigns its offsets.
 	log atomic.Pointer[eventlog.Log]
 
+	// fanned is the fan-out watermark: every offset <= fanned has been
+	// offered to every subscription that matched it. Publishers finish
+	// fan-out in any order; fanMu guards fanDone, the finished runs above
+	// the watermark that wait for the gap below them to close, and
+	// fanPending counts them for the lock-free in-order path.
+	fanned     atomic.Uint64
+	fanMu      sync.Mutex
+	fanDone    []offsetRun
+	fanPending atomic.Int32
+
 	// retained keeps the last message per concrete topic so late
 	// subscribers can catch up (MQTT-style retained messages), sharded
 	// by topic hash. retainedCount tracks the distinct-topic total for
@@ -461,10 +471,107 @@ func (b *Broker) Publish(m Message) (int, error) {
 	for _, e := range matched {
 		e.sub.offer(m)
 	}
+	b.finishFanout(m.Offset, m.Offset)
 	n := len(matched)
 	*mp = matched
 	putMatched(mp)
 	return n, nil
+}
+
+// offsetRun is a contiguous range of offsets, both ends inclusive.
+type offsetRun struct{ first, last uint64 }
+
+// finishFanout records that offsets first..last have been offered to
+// every matching subscription and advances the fan-out watermark over
+// every contiguous finished run. Offsets are dense — the sequencer only
+// consumes one for a record it stored — so every gap closes once the
+// publishers holding it finish. A run that finishes in order moves the
+// watermark with one CAS and no lock; only a run finishing ahead of a
+// gap parks in fanDone under fanMu.
+func (b *Broker) finishFanout(first, last uint64) {
+	if b.fanned.CompareAndSwap(first-1, last) {
+		// Parked runs may now be contiguous. A run parked after this
+		// load is drained by its own publisher, which re-reads the
+		// watermark after counting itself in fanPending.
+		if b.fanPending.Load() == 0 {
+			return
+		}
+		b.fanMu.Lock()
+		b.drainFanoutLocked()
+		b.fanMu.Unlock()
+		return
+	}
+	b.fanMu.Lock()
+	pushRun(&b.fanDone, offsetRun{first, last})
+	b.fanPending.Add(1)
+	b.drainFanoutLocked()
+	b.fanMu.Unlock()
+}
+
+// drainFanoutLocked advances the watermark over parked runs until none
+// starts right above it. Caller holds fanMu; in-order publishers may
+// still move the watermark concurrently, which only makes a CAS retry.
+func (b *Broker) drainFanoutLocked() {
+	for len(b.fanDone) > 0 {
+		w := b.fanned.Load()
+		r := b.fanDone[0]
+		if r.first != w+1 {
+			return
+		}
+		if !b.fanned.CompareAndSwap(w, r.last) {
+			continue
+		}
+		popRun(&b.fanDone)
+		b.fanPending.Add(-1)
+	}
+}
+
+// pushRun adds r to the min-heap of parked runs ordered by first offset.
+func pushRun(h *[]offsetRun, r offsetRun) {
+	*h = append(*h, r)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p].first <= s[i].first {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+// popRun removes the lowest parked run.
+func popRun(h *[]offsetRun) {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		l, m := 2*i+1, i
+		if l < n && s[l].first < s[m].first {
+			m = l
+		}
+		if l+1 < n && s[l+1].first < s[m].first {
+			m = l + 1
+		}
+		if m == i {
+			break
+		}
+		s[m], s[i] = s[i], s[m]
+		i = m
+	}
+	*h = s
+}
+
+// FannedOut returns the fan-out watermark: every message with an offset
+// at or below it is already in the mailbox of each subscription it
+// matched (or was dropped there by backpressure). Publishers stamp
+// offsets in order but offer them concurrently, so a mailbox can hold a
+// later offset before an earlier one; a consumer that sorts what it
+// polled and releases only offsets up to the watermark it read before
+// polling delivers in strict offset order.
+func (b *Broker) FannedOut() uint64 {
+	return b.fanned.Load()
 }
 
 // stamp assigns the message's offset: the log's sequencer for durable
@@ -527,7 +634,11 @@ func (b *Broker) PublishBatch(msgs []Message) (int, error) {
 			// first n messages are already durable and retained (a
 			// restart replays them) but nothing is fanned out — under a
 			// failing disk, losing deliveries beats delivering what was
-			// never logged.
+			// never logged. Their offsets are spent all the same, so the
+			// watermark moves past them.
+			if n > 0 {
+				b.finishFanout(first, first+uint64(n)-1)
+			}
 			return 0, err
 		}
 	} else {
@@ -560,6 +671,7 @@ func (b *Broker) PublishBatch(msgs []Message) (int, error) {
 		}
 		start = end
 	}
+	b.finishFanout(msgs[0].Offset, msgs[len(msgs)-1].Offset)
 	*mp = flat
 	putMatched(mp)
 	return total, nil

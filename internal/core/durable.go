@@ -38,13 +38,30 @@ func (b *Broker) AttachLog(l *eventlog.Log) (int, error) {
 	if seq != 0 {
 		return 0, errors.New("core: AttachLog requires a fresh broker (attach before any publish)")
 	}
+	// Only the last record per topic survives recovery, so the scan keeps
+	// each topic's latest record — in the order topics first appear,
+	// which is the order the retained-topic cap admits them — and only
+	// those are decoded and retained. Scanned records own their payload
+	// and header maps, so holding them is safe. Topics past the cap are
+	// never retained and not kept.
+	limit := b.retainedLimit.Load()
+	index := make(map[string]int)
+	var latest []eventlog.Record
 	replayed := 0
 	_, err := l.Scan(0, func(rec eventlog.Record) error {
-		m := messageOf(rec)
-		b.retain(&m)
 		replayed++
+		if i, ok := index[rec.Topic]; ok {
+			latest[i] = rec
+		} else if limit <= 0 || int64(len(latest)) < limit {
+			index[rec.Topic] = len(latest)
+			latest = append(latest, rec)
+		}
 		return nil
 	})
+	for i := range latest {
+		m := messageOf(latest[i])
+		b.retain(&m)
+	}
 	if err != nil {
 		return replayed, err
 	}
@@ -60,6 +77,9 @@ func (b *Broker) AttachLog(l *eventlog.Log) (int, error) {
 	if b.seq.Load() != 0 {
 		return replayed, errors.New("core: AttachLog requires a fresh broker (attach before any publish)")
 	}
+	// Offsets continue from the log's tail; every record in it is
+	// history, past the fan-out watermark by definition.
+	b.fanned.Store(l.NextOffset() - 1)
 	b.log.Store(l)
 	return replayed, nil
 }

@@ -389,3 +389,77 @@ func TestAttachLogConcurrentAttach(t *testing.T) {
 		t.Fatal("no log attached after the race")
 	}
 }
+
+// TestAttachLogRetainsLatestPerTopicUnderCap: recovery keeps only each
+// topic's latest record, yet must leave exactly the retained state that
+// retaining every logged record in offset order gives — including the
+// retained-topic cap admitting the first topics to appear.
+func TestAttachLogRetainsLatestPerTopicUnderCap(t *testing.T) {
+	for _, limit := range []int{0, 1, 5, 40} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			dir := t.TempDir()
+			b, l, _ := durableBroker(t, dir)
+			var topics []string
+			for i := 0; i < 300; i++ {
+				// 12 topics, revisited out of first-appearance order.
+				topic := fmt.Sprintf("obs/d%d/m%d", (i*7)%12, (i*7)%12%3)
+				topics = append(topics, topic)
+				if _, err := b.Publish(Message{
+					Topic:   topic,
+					Time:    time.Date(2015, 3, 1, 0, 0, i, 0, time.UTC),
+					Headers: map[string]string{"seq": fmt.Sprint(i)},
+					Payload: map[string]any{"value": float64(i)},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Reference: the per-record rule, every record retained in
+			// offset order.
+			ref := NewBroker()
+			ref.SetRetainedLimit(limit)
+			l2 := openLogT(t, dir)
+			defer l2.Close()
+			if _, err := l2.Scan(0, func(rec eventlog.Record) error {
+				m := messageOf(rec)
+				ref.retain(&m)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			got := NewBroker()
+			got.SetRetainedLimit(limit)
+			n, err := got.AttachLog(l2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(topics) {
+				t.Fatalf("replayed %d records, want %d", n, len(topics))
+			}
+			if g, w := got.retainedCount.Load(), ref.retainedCount.Load(); g != w {
+				t.Fatalf("%d retained topics, reference %d", g, w)
+			}
+			if limit > 0 && limit < 12 && ref.retainedCount.Load() != int64(limit) {
+				t.Fatalf("reference retained %d topics, want the cap %d", ref.retainedCount.Load(), limit)
+			}
+			for _, topic := range topics {
+				gm, gok := got.Retained(topic)
+				wm, wok := ref.Retained(topic)
+				if gok != wok {
+					t.Fatalf("topic %s: retained=%v, reference %v", topic, gok, wok)
+				}
+				if !gok {
+					continue
+				}
+				if gm.Offset != wm.Offset || !gm.Time.Equal(wm.Time) ||
+					!reflect.DeepEqual(gm.Headers, wm.Headers) || !reflect.DeepEqual(gm.Payload, wm.Payload) {
+					t.Fatalf("topic %s: retained %+v, reference %+v", topic, gm, wm)
+				}
+			}
+		})
+	}
+}

@@ -32,6 +32,10 @@ type ProtocolLayer struct {
 	mu      sync.Mutex
 	sources map[string]ReadingSource
 	cursors map[string]int
+	// fetching serializes each source's cursor read → download →
+	// cursor advance, so overlapping ingest cycles never download the
+	// same batch twice; distinct sources still download in parallel.
+	fetching map[string]*sync.Mutex
 	// fetched counts readings pulled per source.
 	fetched map[string]int
 	// parallelism bounds concurrent downloads in FetchAll.
@@ -43,6 +47,7 @@ func NewProtocolLayer() *ProtocolLayer {
 	return &ProtocolLayer{
 		sources:     make(map[string]ReadingSource),
 		cursors:     make(map[string]int),
+		fetching:    make(map[string]*sync.Mutex),
 		fetched:     make(map[string]int),
 		parallelism: defaultFetchParallelism,
 	}
@@ -70,6 +75,7 @@ func (p *ProtocolLayer) AddSource(name string, src ReadingSource) error {
 		return fmt.Errorf("core: source %q already registered", name)
 	}
 	p.sources[name] = src
+	p.fetching[name] = new(sync.Mutex)
 	return nil
 }
 
@@ -78,11 +84,16 @@ func (p *ProtocolLayer) AddSource(name string, src ReadingSource) error {
 func (p *ProtocolLayer) Fetch(name string, limit int) ([]wsn.RawReading, error) {
 	p.mu.Lock()
 	src, ok := p.sources[name]
-	cursor := p.cursors[name]
+	fetching := p.fetching[name]
 	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: unknown source %q", name)
 	}
+	fetching.Lock()
+	defer fetching.Unlock()
+	p.mu.Lock()
+	cursor := p.cursors[name]
+	p.mu.Unlock()
 	batch, next, err := src.Download(cursor, limit)
 	if err != nil {
 		return nil, fmt.Errorf("core: download from %q: %w", name, err)

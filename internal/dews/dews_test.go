@@ -368,3 +368,40 @@ func TestPersistentSemanticWeb(t *testing.T) {
 		t.Fatalf("post-recovery delivery did not extend the graph (%d -> %d)", firstTriples, got)
 	}
 }
+
+// TestRunReleasesItsSubscriptions: Run's obs/# and event queues are
+// unsubscribed when it returns, on success and on failure, so a broker
+// that outlives Run (under -serve) carries no unread queues.
+func TestRunReleasesItsSubscriptions(t *testing.T) {
+	cfg := smallConfig(5)
+	cfg.Years, cfg.TrainYears = 2, 1
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Middleware().Broker().Stats().Subscriptions
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Middleware().Broker().Stats().Subscriptions; after != before {
+		t.Fatalf("subscriptions after Run = %d, before = %d", after, before)
+	}
+
+	// Failure path: with its event log closed every durable publish
+	// fails, so Run returns an error mid-pipeline.
+	cfg.LogDir = t.TempDir()
+	s, err = NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = s.Middleware().Broker().Stats().Subscriptions
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err == nil {
+		t.Fatal("Run succeeded on a closed event log")
+	}
+	if after := s.Middleware().Broker().Stats().Subscriptions; after != before {
+		t.Fatalf("subscriptions after failed Run = %d, before = %d", after, before)
+	}
+}

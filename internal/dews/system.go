@@ -580,18 +580,30 @@ func (s *System) Run() (*Result, error) {
 	}
 
 	// --- phase 3: day-by-day through the real pipeline ---
+	// The run's queues live only as long as the run: the broker outlives
+	// Run under -serve, where an unread obs/# queue would keep filling
+	// with every network publish.
+	broker := s.middleware.Broker()
+	var runSubs []*core.Subscription
+	defer func() {
+		for _, sub := range runSubs {
+			broker.Unsubscribe(sub)
+		}
+	}()
 	evSubs := make(map[string]*core.Subscription)
 	for _, d := range s.districts {
-		sub, err := s.middleware.Broker().Subscribe("event/"+d.name+"/#", 65536, core.DropOldest)
+		sub, err := broker.Subscribe("event/"+d.name+"/#", 65536, core.DropOldest)
 		if err != nil {
 			return nil, err
 		}
+		runSubs = append(runSubs, sub)
 		evSubs[d.name] = sub
 	}
-	obsSub, err := s.middleware.Broker().Subscribe("obs/#", 1<<20, core.DropOldest)
+	obsSub, err := broker.Subscribe("obs/#", 1<<20, core.DropOldest)
 	if err != nil {
 		return nil, err
 	}
+	runSubs = append(runSubs, obsSub)
 
 	result := &Result{}
 	var trainFeatures []forecast.Features
@@ -701,7 +713,7 @@ func (s *System) Run() (*Result, error) {
 				if err := s.hub.Publish(b); err != nil {
 					return nil, err
 				}
-				if _, err := s.middleware.Broker().Publish(core.Message{
+				if _, err := broker.Publish(core.Message{
 					Topic:   core.TopicBulletin(d.name),
 					Time:    b.Issued,
 					Payload: b,

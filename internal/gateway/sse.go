@@ -1,11 +1,13 @@
 package gateway
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -33,7 +35,8 @@ var (
 //
 //   - A fresh subscription is backed by a bounded broker queue, so
 //     wildcard matching, retained replay and QoS drop accounting are
-//     exactly the in-process semantics. A client whose subscription
+//     exactly the in-process semantics. Live messages leave in offset
+//     order: the pump sends only up to the broker's fan-out watermark. A client whose subscription
 //     drops more than the configured limit is disconnected with a
 //     terminal "goodbye" event (slow-consumer eviction).
 //
@@ -147,6 +150,10 @@ func (g *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Every offset at or below the watermark finished fan-out before
+	// the subscription existed, so the mailbox can only hold it as
+	// retained replay.
+	replayThrough := g.cfg.Broker.FannedOut()
 	sub, err := g.cfg.Broker.Subscribe(pattern, buffer, policy)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -176,6 +183,9 @@ func (g *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	defer keepAlive.Stop()
 
 	var frames net.Buffers
+	// held keeps polled messages above the broker's fan-out watermark
+	// until every lower offset has reached the mailbox.
+	var held []core.Message
 	for {
 		select {
 		case <-r.Context().Done():
@@ -210,14 +220,36 @@ func (g *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			// write/flush cycles only buy chunked-transfer overhead and
 			// syscalls per event instead of per drain.
 			frames = frames[:0]
-			for _, m := range sub.Poll(0) {
+			send := func(m core.Message) {
 				// Best-effort resume without a log: suppress events the
 				// client already saw; history itself is gone.
 				if resume && m.Offset <= after {
-					continue
+					return
 				}
 				frames = append(frames, messageFrame(m))
 			}
+			// Concurrent publishers offer to the mailbox out of offset
+			// order. Read the fan-out watermark before polling — every
+			// matching live offset at or below it is then in hand — and
+			// send only that prefix, sorted; the rest waits a tick. The
+			// retained replay keeps the broker's topic order.
+			through := g.cfg.Broker.FannedOut()
+			for _, m := range sub.Poll(0) {
+				if m.Offset <= replayThrough {
+					send(m)
+				} else {
+					held = append(held, m)
+				}
+			}
+			slices.SortFunc(held, func(a, b core.Message) int { return cmp.Compare(a.Offset, b.Offset) })
+			ready := 0
+			for ready < len(held) && held[ready].Offset <= through {
+				send(held[ready])
+				ready++
+			}
+			rest := copy(held, held[ready:])
+			clear(held[rest:])
+			held = held[:rest]
 			if len(frames) == 0 {
 				continue
 			}

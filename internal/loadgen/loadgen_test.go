@@ -245,6 +245,9 @@ func TestServerRecoveryConvergesGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	// Let the live handler finish its subscribe-time retained replay, so
+	// a double count cannot hide behind dispatcher timing.
+	s2.Broker.DrainDispatch()
 	// Replay re-materializes every logged bulletin; set semantics keep
 	// the triple count at parity.
 	if got := s2.MaterializedBulletins(); got != bulletins {

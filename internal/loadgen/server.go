@@ -126,7 +126,14 @@ func NewServer(cfg ServerConfig) (srv *Server, err error) {
 	}
 
 	// Live path: bulletins flow through a broker handler subscription.
+	// Subscribing replays each topic's retained message, which reconcile
+	// has just materialized from the log; skip those by offset so
+	// materialized counts every bulletin once.
+	firstLive := broker.NextOffset()
 	s.bulletinSub, err = broker.SubscribeHandler("bulletin/#", 8192, core.DropOldest, func(m core.Message) {
+		if m.Offset < firstLive {
+			return
+		}
 		if merr := s.materialize(m); merr != nil {
 			s.decodeErrs.Add(1)
 		}

@@ -39,45 +39,138 @@ func (q *Query) hasAggregates() bool {
 	return len(q.Aggregates) > 0 || len(q.GroupBy) > 0
 }
 
-// evalAggregates turns raw solution rows into grouped/aggregated rows.
-// With no GROUP BY the whole result set forms one implicit group.
-func evalAggregates(q *Query, rows []Binding) ([]Binding, error) {
-	type group struct {
-		key  Binding
-		rows []Binding
-	}
-	var groups []*group
-	if len(q.GroupBy) == 0 {
-		groups = []*group{{key: Binding{}, rows: rows}}
-	} else {
-		index := make(map[string]*group)
-		for _, r := range rows {
-			k := r.key(q.GroupBy)
-			g, ok := index[k]
-			if !ok {
-				keyBinding := make(Binding, len(q.GroupBy))
-				for _, v := range q.GroupBy {
-					if t, bound := r[v]; bound {
-						keyBinding[v] = t
-					}
-				}
-				g = &group{key: keyBinding}
-				index[k] = g
-				groups = append(groups, g)
-			}
-			g.rows = append(g.rows, r)
+// aggKind is an aggregate compiled for the fold loop.
+type aggKind uint8
+
+const (
+	aggUnknown aggKind = iota
+	aggCountStar
+	aggCount
+	aggCountDistinct
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+func kindOf(a AggSelect) aggKind {
+	switch a.Fn {
+	case "COUNT":
+		switch {
+		case a.Star:
+			return aggCountStar
+		case a.Distinct:
+			return aggCountDistinct
+		default:
+			return aggCount
 		}
-		// Deterministic group order.
-		sort.Slice(groups, func(i, j int) bool {
-			return groups[i].key.key(q.GroupBy) < groups[j].key.key(q.GroupBy)
-		})
+	case "SUM":
+		return aggSum
+	case "AVG":
+		return aggAvg
+	case "MIN":
+		return aggMin
+	case "MAX":
+		return aggMax
+	}
+	return aggUnknown
+}
+
+// aggAcc folds one aggregate over a group's rows without keeping them.
+type aggAcc struct {
+	n    int64               // rows counted, or numeric/bound arguments folded
+	sum  float64             // SUM/AVG running total
+	best Value               // MIN/MAX so far, valid once n > 0
+	seen map[rdf.ID]struct{} // COUNT(DISTINCT ?x) argument IDs
+}
+
+// aggGroup is one group: its GROUP BY slot IDs and one accumulator per
+// aggregate.
+type aggGroup struct {
+	key  []rdf.ID
+	accs []aggAcc
+}
+
+// aggregateRows evaluates an aggregate SELECT inside the streaming
+// executor. Every solution row folds into its group's accumulators at
+// the ID level, so memory is O(groups), not O(rows). The group key is
+// the GROUP BY slots' IDs; the dictionary interns terms by Term.Key, so
+// ID equality is Key equality. Terms are decoded only for group keys,
+// SUM/AVG/MIN/MAX arguments and results. With no GROUP BY the whole
+// result set forms one implicit group (COUNT 0 on empty input); groups
+// come out sorted by Binding.key over the group terms.
+func aggregateRows(q *Query, prog *program) ([]Binding, error) {
+	keySlots := prog.slotsOf(q.GroupBy)
+	kinds := make([]aggKind, len(q.Aggregates))
+	argSlots := make([]int, len(q.Aggregates))
+	for i, a := range q.Aggregates {
+		kinds[i] = kindOf(a)
+		argSlots[i] = -1
+		if s, ok := prog.slots[a.Arg]; ok && !a.Star {
+			argSlots[i] = s
+		}
+	}
+	newGroup := func(key []rdf.ID) *aggGroup {
+		g := &aggGroup{key: key, accs: make([]aggAcc, len(kinds))}
+		for i, k := range kinds {
+			if k == aggCountDistinct {
+				g.accs[i].seen = make(map[rdf.ID]struct{})
+			}
+		}
+		return g
 	}
 
-	out := make([]Binding, 0, len(groups))
-	for _, g := range groups {
-		row := g.key.Clone()
-		for _, agg := range q.Aggregates {
-			val, ok, err := computeAggregate(agg, g.rows)
+	var (
+		groups []*aggGroup
+		index  map[string]*aggGroup
+		keyBuf []byte
+	)
+	if len(q.GroupBy) == 0 {
+		groups = []*aggGroup{newGroup(nil)}
+	} else {
+		index = make(map[string]*aggGroup)
+	}
+	snap := prog.snap
+	prog.run(func(row []rdf.ID) bool {
+		var g *aggGroup
+		if index == nil {
+			g = groups[0]
+		} else {
+			keyBuf = appendIDKey(keyBuf[:0], row, keySlots)
+			if g = index[string(keyBuf)]; g == nil {
+				key := make([]rdf.ID, len(keySlots))
+				for i, s := range keySlots {
+					if s >= 0 {
+						key[i] = row[s]
+					}
+				}
+				g = newGroup(key)
+				index[string(keyBuf)] = g
+				groups = append(groups, g)
+			}
+		}
+		for i, k := range kinds {
+			var id rdf.ID
+			if s := argSlots[i]; s >= 0 {
+				id = row[s]
+			}
+			g.accs[i].fold(k, id, snap)
+		}
+		return true
+	})
+
+	out := make([]Binding, len(groups))
+	sortKeys := make([]string, len(groups))
+	for gi, g := range groups {
+		row := make(Binding, len(q.GroupBy)+len(q.Aggregates))
+		for i, v := range q.GroupBy {
+			if id := g.key[i]; id != 0 {
+				row[v] = snap.TermOf(id)
+			}
+		}
+		sortKeys[gi] = row.key(q.GroupBy)
+		for i, agg := range q.Aggregates {
+			val, ok, err := g.accs[i].result(kinds[i], agg)
 			if err != nil {
 				return nil, err
 			}
@@ -85,89 +178,88 @@ func evalAggregates(q *Query, rows []Binding) ([]Binding, error) {
 				row[agg.As] = val
 			}
 		}
-		out = append(out, row)
+		out[gi] = row
 	}
+	// Deterministic group order.
+	sort.Sort(byKey{rows: out, keys: sortKeys})
 	return out, nil
 }
 
-// computeAggregate evaluates one aggregate over a group's rows. The
-// second result reports whether a value is produced (empty numeric groups
-// yield unbound, matching SPARQL's error-as-unbound behaviour; COUNT of
-// an empty group is 0).
-func computeAggregate(agg AggSelect, rows []Binding) (rdf.Term, bool, error) {
-	switch agg.Fn {
-	case "COUNT":
-		if agg.Star {
-			return rdf.NewInt(int64(len(rows))), true, nil
+// byKey sorts rows by parallel precomputed keys.
+type byKey struct {
+	rows []Binding
+	keys []string
+}
+
+func (b byKey) Len() int           { return len(b.rows) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.rows[i], b.rows[j] = b.rows[j], b.rows[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+}
+
+// fold adds one row's argument (id, 0 = unbound) to the accumulator.
+func (a *aggAcc) fold(k aggKind, id rdf.ID, snap *rdf.Snapshot) {
+	if k == aggCountStar {
+		a.n++
+		return
+	}
+	if id == 0 {
+		return
+	}
+	switch k {
+	case aggCount:
+		a.n++
+	case aggCountDistinct:
+		a.seen[id] = struct{}{}
+	case aggSum, aggAvg:
+		lit, ok := snap.TermOf(id).(rdf.Literal)
+		if !ok {
+			return
 		}
-		if agg.Distinct {
-			seen := make(map[string]bool)
-			for _, r := range rows {
-				if t, ok := r[agg.Arg]; ok {
-					seen[t.Key()] = true
-				}
-			}
-			return rdf.NewInt(int64(len(seen))), true, nil
+		if f, ok := lit.Float(); ok {
+			a.sum += f
+			a.n++
 		}
-		n := 0
-		for _, r := range rows {
-			if _, ok := r[agg.Arg]; ok {
-				n++
-			}
+	case aggMin, aggMax:
+		v := termValue(snap.TermOf(id))
+		if a.n == 0 {
+			a.best = v
+			a.n = 1
+			return
 		}
-		return rdf.NewInt(int64(n)), true, nil
-	case "SUM", "AVG":
-		var sum float64
-		n := 0
-		for _, r := range rows {
-			t, ok := r[agg.Arg]
-			if !ok {
-				continue
-			}
-			lit, ok := t.(rdf.Literal)
-			if !ok {
-				continue
-			}
-			f, ok := lit.Float()
-			if !ok {
-				continue
-			}
-			sum += f
-			n++
+		c, err := compareValues(v, a.best)
+		if err != nil {
+			return // incomparable values are skipped
 		}
-		if agg.Fn == "SUM" {
-			return rdf.NewFloat(sum), true, nil
+		if (k == aggMin && c < 0) || (k == aggMax && c > 0) {
+			a.best = v
 		}
-		if n == 0 {
+	}
+}
+
+// result returns the aggregate's value. The second result reports
+// whether a value is produced (empty numeric groups yield unbound,
+// matching SPARQL's error-as-unbound behaviour; COUNT of an empty group
+// is 0).
+func (a *aggAcc) result(k aggKind, agg AggSelect) (rdf.Term, bool, error) {
+	switch k {
+	case aggCountStar, aggCount:
+		return rdf.NewInt(a.n), true, nil
+	case aggCountDistinct:
+		return rdf.NewInt(int64(len(a.seen))), true, nil
+	case aggSum:
+		return rdf.NewFloat(a.sum), true, nil
+	case aggAvg:
+		if a.n == 0 {
 			return nil, false, nil
 		}
-		return rdf.NewFloat(sum / float64(n)), true, nil
-	case "MIN", "MAX":
-		var best Value
-		have := false
-		for _, r := range rows {
-			t, ok := r[agg.Arg]
-			if !ok {
-				continue
-			}
-			v := termValue(t)
-			if !have {
-				best = v
-				have = true
-				continue
-			}
-			c, err := compareValues(v, best)
-			if err != nil {
-				continue // incomparable values are skipped
-			}
-			if (agg.Fn == "MIN" && c < 0) || (agg.Fn == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		if !have {
+		return rdf.NewFloat(a.sum / float64(a.n)), true, nil
+	case aggMin, aggMax:
+		if a.n == 0 {
 			return nil, false, nil
 		}
-		return best.Term, best.Term != nil, nil
+		return a.best.Term, a.best.Term != nil, nil
 	default:
 		return nil, false, fmt.Errorf("sparql: unknown aggregate %s", agg.Fn)
 	}

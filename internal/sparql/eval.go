@@ -46,12 +46,11 @@ func (e *Engine) Select(q *Query) (*Solutions, error) {
 	}
 
 	if q.hasAggregates() {
-		rows, err := evalAggregates(q, prog.collectBindings())
+		rows, err := aggregateRows(q, prog)
 		if err != nil {
 			return nil, err
 		}
-		vars := q.aggProjection()
-		return finishRows(q, vars, rows), nil
+		return finishRows(q, q.aggProjection(), rows), nil
 	}
 
 	vars := q.Select
@@ -80,14 +79,7 @@ func finishRows(q *Query, vars []Var, rows []Binding) *Solutions {
 // aggregates: projection, DISTINCT and OFFSET/LIMIT all run inside the
 // streaming pipeline at the ID level, and LIMIT stops the scan early.
 func streamSelect(q *Query, vars []Var, prog *program) *Solutions {
-	slots := make([]int, len(vars))
-	for i, v := range vars {
-		if s, ok := prog.slots[v]; ok {
-			slots[i] = s
-		} else {
-			slots[i] = -1 // projected variable bound nowhere
-		}
-	}
+	slots := prog.slotsOf(vars)
 	var (
 		out     []Binding
 		seen    map[string]struct{}
@@ -99,14 +91,7 @@ func streamSelect(q *Query, vars []Var, prog *program) *Solutions {
 	}
 	prog.run(func(row []rdf.ID) bool {
 		if q.Distinct {
-			keyBuf = keyBuf[:0]
-			for _, s := range slots {
-				var id rdf.ID
-				if s >= 0 {
-					id = row[s]
-				}
-				keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-			}
+			keyBuf = appendIDKey(keyBuf[:0], row, slots)
 			if _, dup := seen[string(keyBuf)]; dup {
 				return true
 			}
@@ -129,6 +114,33 @@ func streamSelect(q *Query, vars []Var, prog *program) *Solutions {
 		return q.Limit < 0 || len(out) < q.Limit
 	})
 	return &Solutions{Vars: vars, Rows: out}
+}
+
+// slotsOf maps variables to their row slots, -1 for a variable bound
+// nowhere in the WHERE clause.
+func (p *program) slotsOf(vars []Var) []int {
+	slots := make([]int, len(vars))
+	for i, v := range vars {
+		if s, ok := p.slots[v]; ok {
+			slots[i] = s
+		} else {
+			slots[i] = -1
+		}
+	}
+	return slots
+}
+
+// appendIDKey appends the fixed-width key of the row's IDs in slots
+// (4 bytes each, 0 for unbound or slot -1): equal keys are equal terms.
+func appendIDKey(buf []byte, row []rdf.ID, slots []int) []byte {
+	for _, s := range slots {
+		var id rdf.ID
+		if s >= 0 {
+			id = row[s]
+		}
+		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	return buf
 }
 
 // Ask runs an ASK query. The scan stops at the first solution.

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rdf"
 )
@@ -260,8 +261,16 @@ type patOp struct {
 	// adaptive join state
 	calls     int
 	rangeSize int // -1 until measured
-	hash      map[[3]rdf.ID][]rdf.IDTriple
 	built     bool
+
+	// hash join table (see build): the constant-bound range in scan
+	// order, linked per join key through chain (-1 ends a chain). The
+	// maps hold only chain ends, so they carry no pointers; byID serves
+	// single-variable join keys, byKey the rest.
+	table []rdf.IDTriple
+	chain []int32
+	byID  map[rdf.ID]hashChain
+	byKey map[[3]rdf.ID]hashChain
 
 	// pre-bound callback state (no per-row closures)
 	r       *runner
@@ -285,19 +294,30 @@ func (o *patOp) feed(r *runner) bool {
 		if o.rangeSize < 0 {
 			o.rangeSize = o.prog.snap.CountID(o.constPattern())
 		}
-		if o.calls > o.rangeSize/hashCostDivisor+2*hashProbeMin {
+		if o.calls > o.rangeSize/hashCostDivisor+2*hashProbeMin && o.rangeSize <= math.MaxInt32 {
 			o.build()
 		}
 	}
 	o.r, o.ok = r, true
 	if o.built {
-		var key [3]rdf.ID
-		for i, ks := range o.pat.keySlots {
-			key[i] = r.row[ks.slot]
+		var (
+			c  hashChain
+			ok bool
+		)
+		if o.byID != nil {
+			c, ok = o.byID[r.row[o.pat.keySlots[0].slot]]
+		} else {
+			var key [3]rdf.ID
+			for i, ks := range o.pat.keySlots {
+				key[i] = r.row[ks.slot]
+			}
+			c, ok = o.byKey[key]
 		}
-		for _, t := range o.hash[key] {
-			if !o.cb(t) {
-				break
+		if ok {
+			for i := c.first; i >= 0; i = o.chain[i] {
+				if !o.cb(o.table[i]) {
+					break
+				}
 			}
 		}
 	} else {
@@ -335,20 +355,48 @@ func (o *patOp) resolve(r *runner) (rdf.ID, rdf.ID, rdf.ID) {
 	return get(o.pat.s), get(o.pat.p), get(o.pat.o)
 }
 
-// build scans the constant-bound range once and hashes it on the join
-// key, so every further input row probes in O(1).
+// build scans the constant-bound range once into one flat table and
+// chains its triples by join key, so every further input row probes in
+// O(1) and sees its matches in scan order.
 func (o *patOp) build() {
-	o.hash = make(map[[3]rdf.ID][]rdf.IDTriple)
 	s, p, q := o.constPattern()
+	o.table = make([]rdf.IDTriple, 0, o.rangeSize)
 	o.prog.snap.ForEachMatchID(s, p, q, func(t rdf.IDTriple) bool {
-		var key [3]rdf.ID
-		for i, ks := range o.pat.keySlots {
-			key[i] = component(t, ks.pos)
-		}
-		o.hash[key] = append(o.hash[key], t)
+		o.table = append(o.table, t)
 		return true
 	})
+	o.chain = make([]int32, len(o.table))
+	if len(o.pat.keySlots) == 1 {
+		pos := o.pat.keySlots[0].pos
+		o.byID = make(map[rdf.ID]hashChain)
+		for i, t := range o.table {
+			linkChain(o.byID, o.chain, component(t, pos), int32(i))
+		}
+	} else {
+		o.byKey = make(map[[3]rdf.ID]hashChain)
+		for i, t := range o.table {
+			var key [3]rdf.ID
+			for j, ks := range o.pat.keySlots {
+				key[j] = component(t, ks.pos)
+			}
+			linkChain(o.byKey, o.chain, key, int32(i))
+		}
+	}
 	o.built = true
+}
+
+// hashChain is one join key's run of table indices, first to last.
+type hashChain struct{ first, last int32 }
+
+// linkChain appends table index i to key k's chain.
+func linkChain[K comparable](m map[K]hashChain, chain []int32, k K, i int32) {
+	chain[i] = -1
+	if c, ok := m[k]; ok {
+		chain[c.last] = i
+		m[k] = hashChain{first: c.first, last: i}
+		return
+	}
+	m[k] = hashChain{first: i, last: i}
 }
 
 func component(t rdf.IDTriple, pos int) rdf.ID {
@@ -478,8 +526,8 @@ func (p *program) decodeInto(row []rdf.ID, b Binding) {
 }
 
 // collectBindings materializes every solution as a term-level Binding
-// (used by the ORDER BY, aggregate and CONSTRUCT paths, which need the
-// whole result set anyway).
+// (used by the ORDER BY and CONSTRUCT paths, which need the whole result
+// set anyway).
 func (p *program) collectBindings() []Binding {
 	var out []Binding
 	p.run(func(row []rdf.ID) bool {
